@@ -16,6 +16,7 @@ the untraced pass is the baseline of ``trace.overhead_frac``.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
@@ -180,6 +181,10 @@ class _InProcess:
             out.count([("warm-up", 0.0, ok, 0.0)])
             rounds.append(_closed_loop(session, self.ops(), seconds / SETUPS))
             session.close()
+            # Free this round's store before the next set-up builds one,
+            # so peak_rss_mb never counts two stores at once.
+            del session
+            gc.collect()
             samples += rounds[-1][0]
         out.count(samples)
         reads = latencies(samples, self.read_kinds)
