@@ -90,11 +90,13 @@ def directory_triples(seed: int) -> Tuple[List[Triple], Dict[str, str]]:
     return out, heads
 
 
-def directory_ops(seed: int, heads: Dict[str, str]) -> Iterator[Tuple[str, object]]:
+def directory_ops(seed: int, heads: Dict[str, str],
+                  stream: int = 0) -> Iterator[Tuple[str, object]]:
     """Endless ``("read", k)`` / ``("hire", triples)`` / ``("leave",
     triples)`` stream: ~10% writes, each leave removing an earlier hire,
-    so the data size stays within a few facts of the initial load."""
-    rng = random.Random(seed * 7919 + 1)
+    so the data size stays within a few facts of the initial load.
+    Each ``stream`` number gives another stream from the same seed."""
+    rng = random.Random(seed * 7919 + 1 + 104729 * stream)
     outstanding: List[List[Triple]] = []
     hired = 0
     while True:
@@ -181,8 +183,9 @@ def service_requests(
             yield "ask", band, candidate
 
 
-def arrival_gaps(seed: int, rate: float) -> Iterator[float]:
-    """Poisson inter-arrival gaps (seconds) at ``rate`` requests/s."""
-    rng = random.Random(seed * 7919 + 3)
+def arrival_gaps(seed: int, rate: float, stream: int = 0) -> Iterator[float]:
+    """Poisson inter-arrival gaps (seconds) at ``rate`` requests/s; each
+    ``stream`` number gives another sequence from the same seed."""
+    rng = random.Random(seed * 7919 + 3 + 104729 * stream)
     while True:
         yield rng.expovariate(rate)

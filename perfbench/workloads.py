@@ -6,8 +6,10 @@ talks HTTP to it.  Each workload returns a :class:`Outcome`.
 
 An untraced run (``trace=False``) makes ``SETUPS`` rounds, each a fresh
 set-up (``setup_s`` is their median) driven for ``seconds / SETUPS``;
-latencies and throughput windows pool over the rounds, so the run
-samples the machine at three moments rather than one.  A traced
+latencies and throughput pool over the rounds, so the run
+samples the machine at three moments rather than one.  Its times are
+scaled to a fixed nominal machine speed by the probe of :mod:`speed`,
+which runs beside the measured code throughout each round.  A traced
 run instead makes three *passes* over the same fixed operation prefix,
 each on a fresh set-up: one untraced, two traced.  The traced passes
 give the per-layer metrics and must agree exactly on the counted work;
@@ -34,6 +36,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 import inputs
 import oracle
 import spans
+from speed import Probe
 
 #: Set-ups per untraced run; ``setup_s`` is their median.
 SETUPS = 3
@@ -44,17 +47,21 @@ PASS_OPS = {"chain": 5, "directory": 400, "service": 300}
 #: queueing does not amplify the machine's own speed swings.
 SERVICE_RATE = 20.0
 #: Share of ``--seconds`` spent in the open-loop phase (the rest is the
-#: closed-loop capacity phase).
-OPEN_LOOP_SHARE = 0.6
+#: closed-loop capacity phase).  The read tail needs the samples more:
+#: throughput over the whole closed phase is steady from a few seconds.
+OPEN_LOOP_SHARE = 0.8
+#: The CPUs this process may run on, read before ``Server`` pins this
+#: process to the first of them.
+CPUS = sorted(os.sched_getaffinity(0))
 #: Counts two traced passes over the same inputs must repeat exactly.
 EXACT = ("wdpt.extensions", "yannakakis.calls", "yannakakis.rows_out",
          "relalg.join_rows_max", "storage.match_calls", "cache.hit_ratio")
 
-#: One operation's record: (kind, latency seconds, ok, completion time).
+#: One operation's record as measured: (kind, start, ok, completion).
+Raw = Tuple[str, float, bool, float]
+#: One operation's record: (kind, latency seconds at the nominal speed,
+#: ok, nominal-speed over measured latency).
 Sample = Tuple[str, float, bool, float]
-#: Runs completing at least this many ops report the median one-second
-#: window throughput, which a short stall of the machine barely moves.
-WINDOWED_OPS = 50
 
 
 class Outcome:
@@ -89,25 +96,34 @@ def latencies(samples: List[Sample], kinds: Tuple[str, ...]) -> List[float]:
     return [lat for kind, lat, _, _ in samples if kind in kinds]
 
 
-#: A closed-loop round: its samples, start time and elapsed seconds.
-Round = Tuple[List[Sample], float, float]
+def timed(raw: List[Raw], probe: Optional[Probe]) -> List[Sample]:
+    """Measured records as samples, scaled to the nominal speed by a
+    stopped ``probe`` (as measured when there is none)."""
+    samples: List[Sample] = []
+    for kind, start, ok, done in raw:
+        latency = done - start
+        if probe is not None:
+            latency = probe.normalise(start, done)
+        samples.append((kind, latency, ok, latency / (done - start)))
+    return samples
+
+
+#: A closed-loop round: its samples and elapsed seconds.
+Round = Tuple[List[Sample], float]
 
 
 def throughput(rounds: List[Round]) -> float:
-    """Completed ops per second: the median over the rounds' whole
-    one-second windows, or ops / elapsed for runs of few, slow ops."""
-    done = sum(len(samples) for samples, _, _ in rounds)
-    counts: List[int] = []
-    for samples, start, elapsed in rounds:
-        windows = [0] * int(elapsed)
-        for sample in samples:
-            index = int(sample[3] - start)
-            if index < len(windows):
-                windows[index] += 1
-        counts += windows
-    if done < WINDOWED_OPS or len(counts) < 3:
-        return done / sum(elapsed for _, _, elapsed in rounds)
-    return float(statistics.median(counts))
+    """Completed ops per second at the nominal speed, over the rounds'
+    whole time.  Ops that ran at ``f`` times their nominal-speed latency
+    took ``1 / f`` times as long as they would have at the nominal speed,
+    so a round of ``elapsed`` seconds lasts ``elapsed * f`` at the nominal
+    speed, ``f`` being its ops' total latency at the nominal speed over
+    their total measured latency."""
+    done = sum(len(samples) for samples, _ in rounds)
+    nominal = sum(elapsed * sum(s[1] for s in samples)
+                  / sum(s[1] / s[3] for s in samples)
+                  for samples, elapsed in rounds if samples)
+    return done / nominal if nominal else 0.0
 
 
 def own_peak_rss_mb() -> float:
@@ -130,9 +146,9 @@ def _graph(triples):
 
 
 def _closed_loop(session, ops: Iterator[Op], seconds: Optional[float],
-                 count: Optional[int] = None) -> Round:
+                 count: Optional[int] = None) -> Tuple[List[Raw], float]:
     """Run ops back to back for ``seconds`` (or exactly ``count`` ops)."""
-    samples: List[Sample] = []
+    samples: List[Raw] = []
     start = perf_counter()
     while True:
         if count is not None and len(samples) >= count:
@@ -147,8 +163,8 @@ def _closed_loop(session, ops: Iterator[Op], seconds: Optional[float],
             print("op %s failed: %r" % (kind, exc), file=sys.stderr)
             ok = False
         done = perf_counter()
-        samples.append((kind, done - t0, ok, done))
-    return samples, start, perf_counter() - start
+        samples.append((kind, t0, ok, done))
+    return samples, perf_counter() - start
 
 
 class _InProcess:
@@ -166,20 +182,28 @@ class _InProcess:
     def warm_up(self, session) -> bool:
         raise NotImplementedError
 
-    def ops(self) -> Iterator[Op]:
+    def ops(self, stream: int = 0) -> Iterator[Op]:
+        """The operation stream; each round of a run takes its own."""
         raise NotImplementedError
 
     def untraced(self, seconds: float, out: Outcome) -> None:
         setups: List[float] = []
         rounds: List[Round] = []
         samples: List[Sample] = []
-        for _ in range(SETUPS):
-            t0 = perf_counter()
-            session = self.build()
-            ok = self.warm_up(session)
-            setups.append(perf_counter() - t0)
-            out.count([("warm-up", 0.0, ok, 0.0)])
-            rounds.append(_closed_loop(session, self.ops(), seconds / SETUPS))
+        for index in range(SETUPS):
+            probe = Probe().start()
+            try:
+                t0 = perf_counter()
+                session = self.build()
+                ok = self.warm_up(session)
+                ready = perf_counter()
+                raw, elapsed = _closed_loop(session, self.ops(index),
+                                                   seconds / SETUPS)
+            finally:
+                probe.stop()
+            setups.append(probe.normalise(t0, ready))
+            out.count([("warm-up", 0.0, ok, 1.0)])
+            rounds.append((timed(raw, probe), elapsed))
             session.close()
             # Free this round's store before the next set-up builds one,
             # so peak_rss_mb never counts two stores at once.
@@ -200,8 +224,9 @@ class _InProcess:
         try:
             session = self.build()
             mark = len(recorder.spans) if recorder else 0
-            samples, _, _ = _closed_loop(session, self.ops(), None,
-                                         PASS_OPS[self.name])
+            raw, _ = _closed_loop(session, self.ops(), None,
+                                     PASS_OPS[self.name])
+            samples = timed(raw, None)
             stats = [session.stats()]
             session.close()
         finally:
@@ -237,7 +262,7 @@ class Chain(_InProcess):
     def warm_up(self, session) -> bool:
         return self._read(session)
 
-    def ops(self) -> Iterator[Op]:
+    def ops(self, stream: int = 0) -> Iterator[Op]:
         while True:
             yield "read", self._read
 
@@ -267,7 +292,7 @@ class Directory(_InProcess):
     def warm_up(self, session) -> bool:
         return self._read(0)(session)
 
-    def ops(self) -> Iterator[Op]:
+    def ops(self, stream: int = 0) -> Iterator[Op]:
         from repro.core.atoms import Atom
         from repro.rdf.graph import TRIPLE_RELATION
 
@@ -285,7 +310,7 @@ class Directory(_InProcess):
                 return True
             return run
 
-        for kind, arg in inputs.directory_ops(self.seed, self.heads):
+        for kind, arg in inputs.directory_ops(self.seed, self.heads, stream):
             if kind == "read":
                 yield kind, self._read(arg)
             else:
@@ -337,14 +362,16 @@ class Server:
     """One ``repro serve`` process over the catalog triples file."""
 
     def __init__(self, root: str, tmp: str, triples_path: str, index: int,
-                 summary: Optional[str] = None):
+                 mode: Optional[str] = None, path: Optional[str] = None):
+        """``mode`` ``"probe"`` or ``"spans"`` starts the server through
+        ``launch_server.py``, which writes its file to ``path``."""
         self.log = os.path.join(tmp, "queries-%d.jsonl" % index)
-        if summary is None:
+        if mode is None:
             cmd = [sys.executable, "-m", "repro", "serve"]
         else:
             launcher = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                    "serve_traced.py")
-            cmd = [sys.executable, launcher, summary, "serve"]
+                                    "launch_server.py")
+            cmd = [sys.executable, launcher, mode, path, "serve"]
         cmd += [triples_path, "--log-queries", self.log, "--port", "0"]
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                    PYTHONUNBUFFERED="1")
@@ -355,10 +382,9 @@ class Server:
             # Server and client on different CPUs: they would otherwise
             # contend for one core, which made run-to-run spread twice as
             # wide on a 2-CPU box.
-            cpus = sorted(os.sched_getaffinity(0))
-            if len(cpus) >= 2:
-                os.sched_setaffinity(self.proc.pid, cpus[1:])
-                os.sched_setaffinity(0, cpus[:1])
+            if len(CPUS) >= 2:
+                os.sched_setaffinity(self.proc.pid, CPUS[1:])
+                os.sched_setaffinity(0, CPUS[:1])
             ready, _, _ = select.select([self.proc.stdout], [], [], 120)
             line = self.proc.stdout.readline() if ready else ""
             found = re.search(r"http://[\d.]+:(\d+)/query", line)
@@ -466,6 +492,8 @@ class _Record:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
+        #: (op, latency start, sent, done, server wall s or None, ok).
+        self.raw: List[Tuple[str, float, float, float, Optional[float], bool]] = []
         self.samples: List[Sample] = []
         self.server_ms: List[float] = []
         self.wait_ms: List[float] = []
@@ -481,10 +509,11 @@ class _Record:
         self.coalesced += other.coalesced
         self.shed += other.shed
 
-    def add(self, op: str, latency: float, sent: float, done: float,
+    def add(self, op: str, start: float, sent: float, done: float,
             status: int, payload, ok: bool) -> None:
+        wall = payload["wall_ms"] / 1000 if payload is not None else None
         with self.lock:
-            self.samples.append((op, latency, ok, done))
+            self.raw.append((op, start, sent, done, wall, ok))
             if status == 429:
                 self.shed += 1
             if payload is not None:
@@ -493,6 +522,22 @@ class _Record:
                 if op == "query":
                     self.queries += 1
                     self.coalesced += bool(payload.get("coalesced"))
+
+    def finish(self, client: Optional[Probe], server: Optional[Probe]) -> None:
+        """Turn the records into samples at the nominal speed: the
+        server's wall time scaled by the server's probe, the rest of the
+        latency (connection, client, queueing) by the mean of the two
+        processes' scales (as measured when the probes are ``None``)."""
+        for op, start, sent, done, wall, ok in self.raw:
+            latency = done - start
+            if client is not None and server is not None:
+                outside = (client.scale(start, done)
+                           + server.scale(start, done)) / 2
+                inside = server.scale(sent, done)
+                wall = min(wall or 0.0, latency)
+                latency = wall * inside + (latency - wall) * outside
+            self.samples.append((op, latency, ok, latency / (done - start)))
+        self.raw = []
 
 
 def _exchange(server: Server, requests: _Requests, record: _Record,
@@ -506,7 +551,7 @@ def _exchange(server: Server, requests: _Requests, record: _Record,
         print("request %s failed: %r" % (op, exc), file=sys.stderr)
         status, payload, ok = 0, None, False
     done = perf_counter()
-    record.add(op, done - (sent if due is None else due), sent, done,
+    record.add(op, sent if due is None else due, sent, done,
                status, payload, ok)
 
 
@@ -519,11 +564,12 @@ def _threads(target, n: int = 2) -> None:
 
 
 def _open_loop(server: Server, requests: _Requests, seed: int,
-               seconds: float) -> _Record:
-    """Poisson arrivals at SERVICE_RATE over two connections; latency
-    counts from when each request was due."""
+               seconds: float, stream: int) -> _Record:
+    """Poisson arrivals at SERVICE_RATE over two connections, from the
+    seed's arrival stream ``stream``; latency counts from when each
+    request was due."""
     record = _Record()
-    gaps = inputs.arrival_gaps(seed, SERVICE_RATE)
+    gaps = inputs.arrival_gaps(seed, SERVICE_RATE, stream)
     lock = threading.Lock()
     start = perf_counter()
     schedule = {"due": start + next(gaps)}
@@ -563,7 +609,7 @@ def _closed(server: Server, requests: _Requests, seconds: Optional[float],
             _exchange(server, requests, record, None)
 
     _threads(worker, connections)
-    return record, start, perf_counter() - start
+    return record, perf_counter() - start
 
 
 class Service:
@@ -578,10 +624,11 @@ class Service:
                 handle.write(" ".join(t) + "\n")
         self._servers = 0
 
-    def _start(self, summary: Optional[str] = None) -> Server:
+    def _start(self, mode: Optional[str] = None,
+               path: Optional[str] = None) -> Server:
         self._servers += 1
         return Server(self.root, self.tmp, self.triples_path, self._servers,
-                      summary)
+                      mode, path)
 
     def _warm_up(self, server: Server, requests: _Requests) -> bool:
         ok = True
@@ -598,21 +645,32 @@ class Service:
         opened, both = _Record(), _Record()
         requests = _Requests(self.seed, self.catalog)
         n = 1 if trace else SETUPS
-        for _ in range(n):
-            t0 = perf_counter()
-            server = self._start()
+        for index in range(n):
+            # Speed probes in this process (its CPU) and in the server's.
+            probe_path = os.path.join(self.tmp, "probe-%d.json" % index)
+            client = Probe().start()
             try:
-                ok = self._warm_up(server, requests)
-                setups.append(perf_counter() - t0)
-                out.count([("warm-up", 0.0, ok, 0.0)])
-                part = _open_loop(server, requests, self.seed,
-                                  seconds / n * OPEN_LOOP_SHARE)
-                closed, start, elapsed = _closed(
-                    server, requests, seconds / n * (1 - OPEN_LOOP_SHARE))
-                rss.append(server.peak_rss_mb())
+                t0 = perf_counter()
+                server = self._start("probe", probe_path)
+                try:
+                    ok = self._warm_up(server, requests)
+                    ready = perf_counter()
+                    out.count([("warm-up", 0.0, ok, 1.0)])
+                    part = _open_loop(server, requests, self.seed,
+                                      seconds / n * OPEN_LOOP_SHARE, index)
+                    closed, elapsed = _closed(
+                        server, requests, seconds / n * (1 - OPEN_LOOP_SHARE))
+                    rss.append(server.peak_rss_mb())
+                finally:
+                    out.problems += server.stop()
             finally:
-                out.problems += server.stop()
-            rounds.append((closed.samples, start, elapsed))
+                client.stop()
+            host = Probe.load(probe_path) if os.path.exists(probe_path) else None
+            # Set-up is the server starting: scale it by the server's probe.
+            setups.append((ready - t0) * (host.scale(t0, ready) if host else 1.0))
+            part.finish(client, host)
+            closed.finish(client, host)
+            rounds.append((closed.samples, elapsed))
             opened.merge(part)
             both.merge(part)
             both.merge(closed)
@@ -644,11 +702,12 @@ class Service:
         """A fresh server (traced when ``summary`` is set), PASS_OPS
         requests over one connection, no warm-up."""
         requests = _Requests(self.seed, self.catalog)
-        server = self._start(summary)
+        server = self._start("spans", summary) if summary else self._start()
         try:
-            record, _, _ = _closed(server, requests, None, PASS_OPS["service"], 1)
+            record, _ = _closed(server, requests, None, PASS_OPS["service"], 1)
         finally:
             out.problems += server.stop()
+        record.finish(None, None)
         out.count(record.samples)
         if summary is None:
             return record.samples, None
