@@ -2,12 +2,15 @@
 
 The classical three-phase algorithm [21]: (1) a bottom-up semi-join sweep
 over a join tree removes dangling tuples, (2) a top-down sweep removes the
-rest, (3) a bottom-up join/projection pass assembles the answers while only
-ever keeping variables that are still needed above (free variables plus the
-interface to the parent).  Runs in time polynomial in ``|D| + |output|`` —
-the concrete engine behind the paper's use of ``HW(1) = AC`` (Theorem 3
-with ``k = 1``), and the backend of the bounded-width engines, which reduce
-to an acyclic instance first.
+rest, (3) a bottom-up join/projection pass assembles the answers.  In that
+pass every join sees only columns still needed above it: a node's relation
+is projected onto its kept variables (free variables plus the interface to
+the parent) and its children's partial schemas before its first join, and
+again after each child join.  Each join's output then stays within
+``max |reduced relation| × max(1, |answers|)``, so the whole run is
+polynomial in ``|D| + |output|`` — the concrete engine behind the paper's
+use of ``HW(1) = AC`` (Theorem 3 with ``k = 1``), and the backend of the
+bounded-width engines, which reduce to an acyclic instance first.
 
 Interchangeable execution paths implement the phases, selected per
 run by :func:`repro.relalg.config.choose_kernel` (``REPRO_KERNELS``):
@@ -129,14 +132,20 @@ def evaluate_with_join_tree(
         elif kernel == KERNEL_SQL:
             # SQLite-backed database: scans, both semi-join sweeps, and
             # the join/projection phase run as one SQL statement; only
-            # the answer rows cross back into Python.
+            # the answer rows cross back into Python.  Counting the join
+            # steps' rows costs one more statement, so only traced runs
+            # do it.
             with tracer.span("yannakakis.sql") as sp:
+                join_sizes: Optional[List[int]] = [] if tracer.enabled else None
                 result: FrozenSet[Mapping] = db.sql_yannakakis(
-                    atoms, links, query.free_variables
+                    atoms, links, query.free_variables, join_sizes=join_sizes
                 )
                 account_rows(len(result))
                 if tracer.enabled:
-                    sp.set(answers=len(result))
+                    sp.set(
+                        answers=len(result),
+                        max_intermediate=max(join_sizes, default=0),
+                    )
         else:
             root = join_tree_root(links, n)
             children = join_tree_children(links, n)
@@ -305,6 +314,18 @@ def columnar_join_phase(
     """Phase 3 on columnar relations: the bottom-up join/projection pass,
     keeping (free ∪ parent-interface) variables per node.
 
+    Every join sees only the columns still needed above it: a node's
+    relation is projected onto its keep set plus its children's partial
+    schemas *before* the first join, and again after each child join onto
+    the keep set plus the schemas of the children still to come.  A join
+    row is then fixed by one row of the node's reduced relation plus the
+    free-variable values of the children joined so far — a projection of
+    some answer — which bounds each intermediate by
+    ``max |reduced relation| × max(1, |answers|)``; the largest one is
+    recorded as the ``max_intermediate`` attribute of the
+    ``yannakakis.join`` span.  Children whose partials add no variable
+    (pure filters) are joined first.
+
     ``relations[i]`` is atom ``i``'s (already semi-join-reduced) relation.
     The keep sets are computed structurally from the **atoms**, so the
     relations may carry any sub-schema that still contains the free and
@@ -316,22 +337,37 @@ def columnar_join_phase(
     subtree_vars = _subtree_variables(atom_vars, children, order)
     parent_of: Dict[int, int] = {c: p for c, p in links}
     partials: List[Optional[Relation]] = [None] * n
+    max_intermediate = 0
     with tracer.span("yannakakis.join") as sp:
         for node in reversed(order):
-            current = relations[node]
-            for child in children[node]:
-                current = hash_join(current, partials[child])
+            subtree = frozenset(subtree_vars[node])
             if node == root:
                 keep = frees
             else:
-                interface = atom_vars[parent_of[node]]
-                keep = (frees & frozenset(subtree_vars[node])) | (
-                    frozenset(subtree_vars[node]) & interface
-                )
+                keep = subtree & (frees | atom_vars[parent_of[node]])
+            pending = sorted(
+                children[node],
+                key=lambda c: len(frozenset(partials[c].schema) - atom_vars[node]),
+            )
+            wanted = set(keep)
+            for child in pending:
+                wanted.update(partials[child].schema)
+            current = project(relations[node], wanted)
             account_rows(len(current))
-            partials[node] = project(current, keep)
+            for k, child in enumerate(pending):
+                current = hash_join(current, partials[child])
+                max_intermediate = max(max_intermediate, len(current))
+                account_rows(len(current))
+                wanted = set(keep)
+                for later in pending[k + 1:]:
+                    wanted.update(partials[later].schema)
+                current = project(current, wanted)
+            partials[node] = current
         if tracer.enabled:
-            sp.set(partial_sizes=[len(p) for p in partials])
+            sp.set(
+                partial_sizes=[len(p) for p in partials],
+                max_intermediate=max_intermediate,
+            )
     return to_mappings(partials[root])
 
 

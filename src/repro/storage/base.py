@@ -55,9 +55,6 @@ class StorageBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Optional capabilities
     # ------------------------------------------------------------------
-    #: The backend can run Yannakakis' two semi-join sweeps natively and
-    #: hand the reduced relations back (``sql_semijoin_reduce``).
-    supports_sql_semijoin = False
     #: The backend can run the *whole* Yannakakis join plan — scans,
     #: both sweeps, and the join/projection phase — as one native query
     #: (``sql_yannakakis``).  Checked by

@@ -23,9 +23,7 @@ Three capabilities the in-memory backend does not have:
   top-down ``EXISTS`` semi-join sweeps, then the bottom-up
   join/projection phase), with only the final answer rows decoded back
   into Python.  ``repro.cqalgs.yannakakis`` selects it automatically
-  when the database is SQLite-backed (``REPRO_KERNELS=auto``).  The
-  older :meth:`~SQLiteBackend.sql_semijoin_reduce` (temp-table sweeps,
-  Python join phase) is kept as a standalone building block.
+  when the database is SQLite-backed (``REPRO_KERNELS=auto``).
 * **Concurrency** — the connection is shared across threads behind an
   ``RLock`` (``repro.parallel``'s thread pools may issue matches
   concurrently); pickling ships the facts, so process pools work too.
@@ -144,7 +142,6 @@ class SQLiteBackend(StorageBackend):
         #: relation name -> (table name, arity)
         self._tables: Dict[str, Tuple[str, int]] = {}
         self._version = 0
-        self._tmp_counter = 0
         if self._path is not None:
             self._backend_id = "sqlite:%s" % self._path
         else:
@@ -443,6 +440,7 @@ class SQLiteBackend(StorageBackend):
         links: Sequence[Tuple[int, int]],
         frees: Iterable[Variable],
         exists_only: bool = False,
+        join_sizes: Optional[List[int]] = None,
     ):
         """The whole Yannakakis join plan as **one** SQL statement.
 
@@ -461,17 +459,24 @@ class SQLiteBackend(StorageBackend):
         * ``d<i>`` — the top-down sweep: ``u<i>`` filtered by an
           ``EXISTS`` against the parent's ``d`` (the root's ``d`` is its
           ``u``);
-        * ``a<i>`` — the join phase: ``d<i>`` joined with the children's
-          ``a`` relations and projected (``DISTINCT``) onto the free
-          variables plus the interface to the parent.  The running-
-          intersection property of the join tree guarantees every
-          variable shared between sibling subtrees occurs in atom ``i``,
-          so all cross-child equalities route through ``t0`` and each
-          kept column has a unique source.
+        * ``a<i>`` — the join phase: ``d<i>`` projected (``DISTINCT``)
+          onto the free variables plus the interface to the parent.  An
+          inner node first drops the columns neither kept nor shared
+          with a child (``p<i>``), then joins its children's ``a``
+          relations one ``DISTINCT`` step at a time (``a<i>_<k>``, the
+          last one named ``a<i>``), each projected onto the kept
+          variables plus the schemas of the children still to join —
+          so no join carries a column nothing above it reads.  The
+          running-intersection property of the join tree guarantees
+          every variable shared between sibling subtrees occurs in atom
+          ``i``, so each step's equalities and columns have a unique
+          source.
 
         Returns the decoded answer mappings, or — with ``exists_only``,
         the Boolean fast path — whether the root survives the bottom-up
         sweep (the ``d``/``a`` layers are then not even generated).
+        With a ``join_sizes`` list, one extra statement appends the row
+        count of every join step (before its ``DISTINCT``) to it.
         """
         n = len(atoms)
         children: Dict[int, List[int]] = {i: [] for i in range(n)}
@@ -598,6 +603,7 @@ class SQLiteBackend(StorageBackend):
                 subtree[node] |= subtree[child]
         free_set = set(frees)
         a_schema: List[List[Variable]] = [[] for _ in range(n)]
+        join_counts: List[str] = []
         for node in reversed(order):
             if node == root:
                 keep = free_set & subtree[node]
@@ -605,42 +611,89 @@ class SQLiteBackend(StorageBackend):
                 keep = (free_set & subtree[node]) | (
                     subtree[node] & var_sets[parent_of[node]]
                 )
-            a_schema[node] = sorted(keep, key=repr)
-            source: List[str] = ["%s t0" % rel[node]]
-            for k, child in enumerate(children[node]):
-                alias = "t%d" % (k + 1)
-                join_on = [v for v in a_schema[child] if v in var_sets[node]]
-                condition = " AND ".join(
-                    "%s.v%d = t0.v%d"
-                    % (alias, a_schema[child].index(v), atom_vars[node].index(v))
-                    for v in join_on
-                ) or "1=1"
-                source.append(
-                    "JOIN a%d %s ON %s" % (child, alias, condition)
-                )
-            columns: List[str] = []
-            for j, v in enumerate(a_schema[node]):
-                if v in var_sets[node]:
-                    columns.append("t0.v%d AS v%d" % (atom_vars[node].index(v), j))
-                else:
-                    # Unique by the running-intersection property.
-                    k, child = next(
-                        (k, c)
-                        for k, c in enumerate(children[node])
-                        if v in subtree[c]
+            if not children[node]:
+                a_schema[node] = sorted(keep, key=repr)
+                columns = [
+                    "t0.v%d AS v%d" % (atom_vars[node].index(v), j)
+                    for j, v in enumerate(a_schema[node])
+                ]
+                ctes.append(
+                    (
+                        "a%d" % node,
+                        "SELECT DISTINCT %s FROM %s t0"
+                        % (", ".join(columns) or "1 AS one", rel[node]),
                     )
-                    columns.append(
-                        "t%d.v%d AS v%d"
-                        % (k + 1, a_schema[child].index(v), j)
-                    )
-            ctes.append(
-                (
-                    "a%d" % node,
-                    "SELECT DISTINCT %s FROM %s"
-                    % (", ".join(columns) or "1 AS one", " ".join(source)),
                 )
+                rel[node] = "a%d" % node
+                continue
+            # One DISTINCT step per child, each projected onto the keep
+            # set plus the schemas of the children still to join — the
+            # columnar kernel's projection schedule.  Children adding no
+            # variable (pure filters) go first.
+            pending = sorted(
+                children[node],
+                key=lambda c: len(set(a_schema[c]) - var_sets[node]),
             )
-            rel[node] = "a%d" % node
+            schema = atom_vars[node]
+            wanted = set(keep)
+            for child in pending:
+                wanted.update(a_schema[child])
+            if not wanted.issuperset(schema):
+                out = [v for v in schema if v in wanted]
+                ctes.append(
+                    (
+                        "p%d" % node,
+                        "SELECT DISTINCT %s FROM %s"
+                        % (
+                            ", ".join(
+                                "v%d AS v%d" % (schema.index(v), j)
+                                for j, v in enumerate(out)
+                            ) or "1 AS one",
+                            rel[node],
+                        ),
+                    )
+                )
+                rel[node], schema = "p%d" % node, out
+            for k, child in enumerate(pending):
+                wanted = set(keep)
+                for later in pending[k + 1:]:
+                    wanted.update(a_schema[later])
+                out = sorted(
+                    (v for v in wanted if v in schema or v in a_schema[child]),
+                    key=repr,
+                )
+                condition = " AND ".join(
+                    "t1.v%d = t0.v%d"
+                    % (a_schema[child].index(v), schema.index(v))
+                    for v in a_schema[child]
+                    if v in schema
+                ) or "1=1"
+                source = "%s t0 JOIN a%d t1 ON %s" % (rel[node], child, condition)
+                columns = [
+                    "t0.v%d AS v%d" % (schema.index(v), j)
+                    if v in schema
+                    else "t1.v%d AS v%d" % (a_schema[child].index(v), j)
+                    for j, v in enumerate(out)
+                ]
+                name = "a%d" % node if k == len(pending) - 1 else "a%d_%d" % (node, k)
+                ctes.append(
+                    (
+                        name,
+                        "SELECT DISTINCT %s FROM %s"
+                        % (", ".join(columns) or "1 AS one", source),
+                    )
+                )
+                join_counts.append("SELECT COUNT(*) FROM %s" % source)
+                rel[node], schema = name, out
+            a_schema[node] = schema
+
+        if join_sizes is not None and join_counts:
+            sql = "WITH %s SELECT %s" % (
+                ", ".join("%s AS (%s)" % (name, body) for name, body in ctes),
+                ", ".join("(%s)" % count for count in join_counts),
+            )
+            with self._lock:
+                join_sizes.extend(self._conn.execute(sql, params).fetchone())
 
         sql = "WITH %s SELECT * FROM %s" % (
             ", ".join("%s AS (%s)" % (name, body) for name, body in ctes),
@@ -659,141 +712,6 @@ class SQLiteBackend(StorageBackend):
                 }
             )
             for row in rows
-        )
-
-    # ------------------------------------------------------------------
-    # Yannakakis semi-join pushdown
-    # ------------------------------------------------------------------
-    #: Capability flag ``repro.cqalgs.yannakakis`` checks for.
-    supports_sql_semijoin = True
-
-    def sql_semijoin_reduce(
-        self,
-        atoms: Sequence[Atom],
-        links: Sequence[Tuple[int, int]],
-    ) -> List[List[Mapping]]:
-        """Both semi-join sweeps of Yannakakis' algorithm, in SQL.
-
-        ``atoms`` are the join-tree nodes and ``links`` its child→parent
-        edges.  Each atom is scanned into a temp table of its distinct
-        variable bindings; the bottom-up and top-down sweeps then run as
-        correlated ``DELETE … WHERE NOT EXISTS`` statements along the
-        tree, and the reduced relations are decoded back into
-        :class:`~repro.core.mappings.Mapping` lists for the join phase.
-        The result equals the Python sweeps' output up to duplicate
-        bindings (temp tables are ``DISTINCT``), which the join phase
-        collapses anyway.
-        """
-        n = len(atoms)
-        children: Dict[int, List[int]] = {i: [] for i in range(n)}
-        is_child = [False] * n
-        for child, parent in links:
-            children[parent].append(child)
-            is_child[child] = True
-        roots = [i for i in range(n) if not is_child[i]]
-        order: List[int] = []
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(children[node])
-
-        atom_vars: List[List[Variable]] = [
-            sorted(a.variables(), key=repr) for a in atoms
-        ]
-        with self._lock, self._conn:
-            self._tmp_counter += 1
-            prefix = "yt%d" % self._tmp_counter
-            names = ["%s_%d" % (prefix, i) for i in range(n)]
-            try:
-                for i, a in enumerate(atoms):
-                    self._scan_to_temp(names[i], a, atom_vars[i])
-                # Phase 1: bottom-up (children filter parents).
-                for node in reversed(order):
-                    for child in children[node]:
-                        self._sql_semijoin(
-                            names[node], atom_vars[node],
-                            names[child], atom_vars[child],
-                        )
-                # Phase 2: top-down (parents filter children).
-                for node in order:
-                    for child in children[node]:
-                        self._sql_semijoin(
-                            names[child], atom_vars[child],
-                            names[node], atom_vars[node],
-                        )
-                relations: List[List[Mapping]] = []
-                for i in range(n):
-                    rows = self._conn.execute(
-                        "SELECT * FROM %s" % names[i]
-                    ).fetchall()
-                    vs = atom_vars[i]
-                    relations.append(
-                        [
-                            Mapping(
-                                {
-                                    v: Constant(decode_value(row[j]))
-                                    for j, v in enumerate(vs)
-                                }
-                            )
-                            for row in rows
-                        ]
-                    )
-                return relations
-            finally:
-                for name in names:
-                    self._conn.execute("DROP TABLE IF EXISTS %s" % name)
-
-    def _scan_to_temp(self, name: str, pattern: Atom, vs: List[Variable]) -> None:
-        """``CREATE TEMP TABLE name`` holding the distinct variable
-        bindings of the facts matching ``pattern`` (a constant ``one``
-        column when the pattern is ground)."""
-        cols = ", ".join("v%d TEXT" % i for i in range(len(vs))) or "one INTEGER"
-        self._conn.execute("CREATE TEMP TABLE %s (%s)" % (name, cols))
-        plan = self._pattern_sql(pattern)
-        if plan is None:
-            return
-        tbl, where, params = plan
-        if vs:
-            pos_of = {
-                v: next(
-                    p for p, arg in enumerate(pattern.args) if arg == v
-                )
-                for v in vs
-            }
-            select = ", ".join("c%d" % pos_of[v] for v in vs)
-            self._conn.execute(
-                "INSERT INTO %s SELECT DISTINCT %s FROM %s WHERE %s"
-                % (name, select, tbl, where),
-                params,
-            )
-        else:
-            self._conn.execute(
-                "INSERT INTO %s SELECT DISTINCT 1 FROM %s WHERE %s"
-                % (name, tbl, where),
-                params,
-            )
-
-    def _sql_semijoin(
-        self,
-        left: str,
-        left_vars: List[Variable],
-        right: str,
-        right_vars: List[Variable],
-    ) -> None:
-        """``left ⋉ right`` in place: delete the ``left`` rows with no
-        join partner (on the shared variables) in ``right``."""
-        shared = [v for v in left_vars if v in set(right_vars)]
-        conditions = " AND ".join(
-            "%s.v%d = %s.v%d"
-            % (right, right_vars.index(v), left, left_vars.index(v))
-            for v in shared
-        )
-        sub = "SELECT 1 FROM %s" % right
-        if conditions:
-            sub += " WHERE %s" % conditions
-        self._conn.execute(
-            "DELETE FROM %s WHERE NOT EXISTS (%s)" % (left, sub)
         )
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from ..core.atoms import Atom
 from ..core.cq import ConjunctiveQuery
 from ..core.database import Database
 from ..core.mappings import Mapping, maximal_mappings
+from ..core.terms import Variable
 from ..cqalgs.naive import homomorphisms as cq_homomorphisms
 from ..cqalgs.yannakakis import evaluate_with_join_tree
 from ..hypergraphs.gyo import join_tree_of_atoms
@@ -40,9 +41,26 @@ from ..telemetry.tracer import current_tracer
 from .tree import ROOT
 from .wdpt import WDPT
 
-#: Per-node join-tree cache: node → (sorted atoms, links), or ``None``
-#: for labels the columnar extension cannot serve (cyclic hypergraph).
-NodeTrees = Dict[int, Optional[Tuple[Tuple[Atom, ...], Tuple[Tuple[int, int], ...]]]]
+#: One node's extension plan: its label atoms (sorted), their join tree,
+#: and the variables the extension step asks Yannakakis for.
+NodePlan = Tuple[Tuple[Atom, ...], Tuple[Tuple[int, int], ...], Tuple[Variable, ...]]
+
+
+class NodeTrees(Dict[int, Optional[NodePlan]]):
+    """Per-evaluation cache: node → :data:`NodePlan`, or ``None`` for
+    labels the columnar extension cannot serve (cyclic hypergraph).
+
+    ``frees`` is ``x̄`` when the evaluation only needs the answers
+    projected to ``x̄`` (:func:`evaluate`): each node then asks only for
+    its *needed* variables, ``vars(λ(t)) ∩ (x̄ ∪ ⋃_{c child of t}
+    vars(λ(c)))``.  With ``frees=None`` (:func:`maximal_homomorphisms`)
+    every variable of the label is asked for.
+    """
+
+    def __init__(self, frees: Optional[FrozenSet[Variable]] = None):
+        super().__init__()
+        self.frees = frees
+
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle at runtime
     from ..planner.profile import TreeProfile
@@ -77,38 +95,34 @@ def _node_homomorphisms(
     sigma: Mapping,
     trees: Optional[NodeTrees],
 ) -> Iterable[Mapping]:
-    """The homomorphisms of ``λ(node)`` extending ``sigma`` (each total on
-    ``vars(λ(node)) ∪ dom(sigma)``) — the per-node extension step of the
-    top-down evaluator.
+    """The homomorphisms of ``λ(node)`` extending ``sigma`` — the per-node
+    extension step of the top-down evaluator.  Each is total on the
+    requested variables of the node plus ``dom(sigma)``.
 
-    With ``trees`` (the per-node join-tree cache) and an acyclic label,
-    the step runs set-at-a-time: ``sigma`` is substituted into the label
-    atoms and the remaining variables are evaluated as one full CQ
-    through the Yannakakis kernels (the join tree of the unsubstituted
-    label stays valid — instantiating variables only shrinks hyperedges).
-    Cyclic or empty labels, and ``trees is None`` (legacy kernel mode),
-    fall back to the historical backtracking search.
+    With ``trees`` (the per-node plan cache) and an acyclic label, the
+    step runs set-at-a-time: ``sigma`` is substituted into the label
+    atoms and Yannakakis is asked for the node's requested variables
+    (all of them, or only the needed ones when ``trees.frees`` is set —
+    see :class:`NodeTrees`); the join tree of the unsubstituted label
+    stays valid, since instantiating variables only shrinks hyperedges.
+    The extensions are then distinct *projected* homomorphisms.  Cyclic
+    or empty labels, and ``trees is None`` (legacy kernel mode), fall
+    back to the historical backtracking search over full homomorphisms.
     """
     label = p.labels[node]
     if trees is None or not label:
         return cq_homomorphisms(label, db, pre_assignment=sigma)
     entry = trees.get(node, False)
     if entry is False:
-        atoms = tuple(sorted(set(label)))
-        links = join_tree_of_atoms(atoms)
-        entry = (atoms, tuple(links)) if links is not None else None
-        trees[node] = entry
+        entry = trees[node] = _node_plan(p, node, trees.frees)
     if entry is None:
         return cq_homomorphisms(label, db, pre_assignment=sigma)
-    atoms, links = entry
+    atoms, links, requested = entry
     if len(sigma):
         substituted = tuple(a.substitute(sigma) for a in atoms)
     else:
         substituted = atoms
-    frees: Set = set()
-    for a in substituted:
-        frees |= a.variables()
-    q = ConjunctiveQuery(tuple(sorted(frees)), substituted)
+    q = ConjunctiveQuery(requested, substituted)
     rows = evaluate_with_join_tree(q, db, substituted, links)
     if not len(sigma):
         return rows
@@ -119,6 +133,34 @@ def _node_homomorphisms(
         merged.update(m.items())
         out.append(Mapping.from_trusted(merged))
     return out
+
+
+def _node_plan(
+    p: WDPT, node: int, frees: Optional[FrozenSet[Variable]]
+) -> Optional[NodePlan]:
+    """``node``'s extension plan, or ``None`` for a cyclic label.
+
+    The requested variables exclude the interface to the parent — the
+    domain of every ``sigma`` the node is extended from, substituted
+    away before the call.  Well-designedness makes the child interfaces
+    the only variables that decide whether an OPT branch extends, so
+    dropping the others loses no answer.
+    """
+    atoms = tuple(sorted(set(p.labels[node])))
+    links = join_tree_of_atoms(atoms)
+    if links is None:
+        return None
+    node_vars = p.node_variables(node)
+    if frees is None:
+        needed = node_vars
+    else:
+        needed = frees & node_vars
+        for child in p.tree.children(node):
+            needed |= node_vars & p.node_variables(child)
+    parent = p.tree.parent(node)
+    if parent is not None:
+        needed -= p.node_variables(parent)
+    return atoms, tuple(links), tuple(sorted(needed))
 
 
 def _parallel_safe_nodes(p: WDPT, profile: "Optional[TreeProfile]") -> FrozenSet[int]:
@@ -166,11 +208,24 @@ def maximal_homomorphisms(
     state beyond the (immutable) parent mapping, so the parallel schedule
     computes the same set.
     """
+    return _grow(p, db, profile, None)
+
+
+def _grow(
+    p: WDPT,
+    db: Database,
+    profile: "Optional[TreeProfile]",
+    frees: Optional[FrozenSet[Variable]],
+) -> FrozenSet[Mapping]:
+    """The top-down evaluator behind :func:`maximal_homomorphisms`
+    (``frees=None``: full homomorphisms) and :func:`evaluate` (``frees``
+    = ``x̄``: maximal homomorphisms projected to the needed variables of
+    each node — see :class:`NodeTrees`)."""
     tracer = current_tracer()
     collector = NodeStatsCollector() if tracer.enabled else None
     pool = current_pool()
     safe = _parallel_safe_nodes(p, profile) if pool is not None else frozenset()
-    trees: Optional[NodeTrees] = {} if kernel_mode() != MODE_LEGACY else None
+    trees = NodeTrees(frees) if kernel_mode() != MODE_LEGACY else None
     out: Set[Mapping] = set()
     with tracer.span("wdpt.maximal_homomorphisms") as sp:
         roots = list(_node_homomorphisms(p, db, ROOT, Mapping(), trees))
@@ -279,6 +334,11 @@ def evaluate(
     it the marking is recomputed locally, so the answer never depends on
     whether a profile was passed.
 
+    Only ``x̄`` is observable here, so each node extension asks
+    Yannakakis for the node's needed variables alone (free variables and
+    child interfaces, :class:`NodeTrees`) rather than for full
+    homomorphisms: the work stays proportional to the projected output.
+
     >>> from repro.core import atom, Database, Mapping
     >>> from repro.wdpt.wdpt import wdpt_from_nested
     >>> p = wdpt_from_nested(
@@ -291,7 +351,7 @@ def evaluate(
     """
     tracer = current_tracer()
     with tracer.span("wdpt.evaluate", nodes=len(p.tree)) as sp:
-        maximal = maximal_homomorphisms(p, db, profile)
+        maximal = _grow(p, db, profile, frozenset(p.free_variables))
         answers = frozenset(h.restrict(p.free_variables) for h in maximal)
         if tracer.enabled:
             sp.set(answers=len(answers))
